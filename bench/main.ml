@@ -747,11 +747,51 @@ let canon_run ~sizes =
             (nodes, h_on, h_off))
           sizes
       in
+      (* Twin stars: the OPUS shape, one process with k environment
+         leaves behind identical META edges.  k! automorphisms, all
+         twin swaps, so every row must stay within the leaf budget. *)
+      Printf.printf "\n%-6s %12s %10s\n" "leaves" "form(s)" "in-budget";
+      let star_rows =
+        List.map
+          (fun k ->
+            let add_node g id label = Pgraph.Graph.add_node g ~id ~label ~props:Pgraph.Props.empty in
+            let star =
+              List.fold_left
+                (fun g i ->
+                  let id = Printf.sprintf "m%d" i in
+                  Pgraph.Graph.add_edge (add_node g id "Meta") ~id:(Printf.sprintf "e%d" i)
+                    ~src:"proc" ~tgt:id ~label:"META" ~props:Pgraph.Props.empty)
+                (add_node Pgraph.Graph.empty "proc" "Process")
+                (List.init k Fun.id)
+            in
+            let runs =
+              List.init 3 (fun _ ->
+                  timed (fun () ->
+                      Pgraph.Canon.clear ();
+                      Pgraph.Canon.form star))
+            in
+            let in_budget = Option.is_some (fst (List.hd runs)) in
+            let t = List.fold_left (fun acc (_, t) -> Float.min acc t) infinity runs in
+            Printf.printf "%-6d %12.6f %10s\n" k t (if in_budget then "yes" else "no");
+            (k, t, in_budget))
+          [ 4; 8; 12 ]
+      in
       let num f = Minijson.Json.Number f in
       let int_j n = num (float_of_int n) in
       bench_json_update "canon"
         (Minijson.Json.Object
            [
+             ( "twin_star",
+               Minijson.Json.Array
+                 (List.map
+                    (fun (k, t, in_budget) ->
+                      Minijson.Json.Object
+                        [
+                          ("leaves", int_j k);
+                          ("form_s", num t);
+                          ("in_budget", Minijson.Json.Bool in_budget);
+                        ])
+                    star_rows) );
              ( "bypass",
                Minijson.Json.Array
                  (List.map

@@ -191,8 +191,10 @@ let timing_csv results =
    The solve-cache block keeps its historical gate (printed only when
    the memo was consulted at all); the incremental fast-path line has
    its own nonzero gate because the incremental backend never touches
-   the memo.  Every scenario that printed bytes before prints the same
-   bytes now — the incremental line is strictly additive. *)
+   the memo.  Every line is a pure function of the work done, never of
+   its scheduling: how many solves coalesced onto an in-flight leader
+   depends on which domain got there first, so that count lives only in
+   the serve [stats] op ([memo.coalesced]). *)
 let stats_lines () =
   let buf = Buffer.create 256 in
   (match Asp.Memo.stats () with
@@ -202,9 +204,6 @@ let stats_lines () =
       Buffer.add_string buf
         (cache_stats_lines
            (List.map (fun (tag, s) -> (tag, s.Asp.Memo.hits, s.Asp.Memo.misses)) stats));
-      (match Asp.Memo.coalesced () with
-      | 0 -> ()
-      | n -> Buffer.add_string buf (Printf.sprintf "coalesced solves: %d\n" n));
       Buffer.add_string buf
         (Printf.sprintf "canon skips: %d\n" (Gmatch.Engine.canon_skip_total ()));
       let seg_total counts = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in

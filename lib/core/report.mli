@@ -29,8 +29,10 @@ val timing_csv : Result.t list -> string
 val cache_stats_lines : (string * int * int) list -> string
 
 (** The full cache/solver statistics block — ASP solve-cache table,
-    coalesced-solve count, canon skips, segment-prepass counters —
-    rendered from the live process-wide counters.  Empty when the solve
+    canon skips, segment-prepass counters — rendered from the live
+    process-wide counters.  Every line is independent of scheduling, so
+    the block is identical at any job count; the scheduling-dependent
+    coalesced-solve count is reported only by the serve [stats] op.  Empty when the solve
     cache was never consulted.  This is the one renderer behind both
     the batch CLI's suite epilogue and the serve daemon's [stats]
     response, so the two can never drift. *)

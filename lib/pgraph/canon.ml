@@ -4,13 +4,14 @@
    {!Fingerprint} to a fixpoint) partitions the nodes into
    isomorphism-invariant classes; when the partition is not discrete,
    individualization-refinement branches on the members of one
-   non-singleton cell and the minimum certificate over all leaves is
-   the canonical labelling.  The certificate is a complete structural
-   rendering (labels and incidences under the canonical order, never
-   the hash colours themselves), so equal digests imply a genuine
-   label-isomorphism even if the refinement hashes collide — a
-   collision can only make the search explore a coarser tree, not
-   declare non-isomorphic graphs equal.
+   non-singleton cell (one member per class of structural twins) and
+   the minimum certificate over all leaves is the canonical labelling.
+   The certificate is a complete structural rendering (labels and
+   incidences under the canonical order, never the hash colours
+   themselves), so equal digests imply a genuine label-isomorphism
+   even if the refinement hashes collide — a collision can only make
+   the search explore a coarser tree, not declare non-isomorphic graphs
+   equal.
 
    Properties are deliberately excluded: similarity (Section 3.4) is
    shape-only, and the solver-bypass built on top re-checks property
@@ -34,9 +35,10 @@ let is_enabled () = Atomic.get enabled
 (* The individualization-refinement tree has one leaf per refinement of
    the partition to a discrete one; symmetric graphs can have
    factorially many.  The budget bounds the leaves explored, and the
-   *decision* to give up is isomorphism-invariant: the tree's shape
-   (hence its total leaf count) is a function of the graph's structure
-   only, so two isomorphic graphs either both finish or both abort. *)
+   *decision* to give up is isomorphism-invariant: the twin-pruned
+   tree's shape (hence its total leaf count) is a function of the
+   graph's structure only, so two isomorphic graphs either both finish
+   or both abort. *)
 let leaf_budget = 256
 
 exception Budget
@@ -161,12 +163,75 @@ let certificate view colours =
   (Buffer.contents buf, order, Array.of_list (List.map (fun (_, _, _, ei) -> ei) triples))
 
 (* ------------------------------------------------------------------ *)
+(* Twins                                                               *)
+
+(* Two nodes are twins when they carry the same label, the same multiset
+   of (edge label, target) out-edges and the same multiset of (edge
+   label, source) in-edges.  Swapping two twins is then an automorphism
+   that fixes every other node.  [twin_key view] returns a function from
+   a node to its class key; keys are rendered from the real label
+   strings, never from the refinement hashes, so a hash collision can
+   never make non-twins look interchangeable.  Only members of branching
+   cells need a key, so keys are built on demand and memoized. *)
+let twin_key view =
+  let n = Array.length view.nodes in
+  let outs = Array.make n [] and ins = Array.make n [] in
+  Array.iteri
+    (fun ei (e : Graph.edge) ->
+      let s = view.esrc.(ei) and t = view.etgt.(ei) in
+      outs.(s) <- (e.Graph.edge_label, t) :: outs.(s);
+      ins.(t) <- (e.Graph.edge_label, s) :: ins.(t))
+    view.edges;
+  let keys = Array.make n None in
+  let buf = Buffer.create 64 in
+  let token s =
+    Buffer.add_string buf (string_of_int (String.length s));
+    Buffer.add_char buf ':';
+    Buffer.add_string buf s
+  in
+  let side adj =
+    List.iter
+      (fun (l, j) ->
+        token l;
+        Buffer.add_string buf (string_of_int j);
+        Buffer.add_char buf ';')
+      (List.sort compare adj);
+    Buffer.add_char buf '|'
+  in
+  fun i ->
+    match keys.(i) with
+    | Some k -> k
+    | None ->
+        Buffer.clear buf;
+        token view.nodes.(i).Graph.node_label;
+        Buffer.add_char buf '|';
+        side outs.(i);
+        side ins.(i);
+        let k = Buffer.contents buf in
+        keys.(i) <- Some k;
+        k
+
+(* ------------------------------------------------------------------ *)
 (* Individualization-refinement search                                 *)
 
+(* At a branching cell only the first member of each twin class is
+   individualized.  Two twins in one cell that are both still
+   unindividualized on the current path are swapped by an automorphism
+   fixing the path, hence the colouring, so the later twin's subtree is
+   the image of the earlier one's: the same certificates, all reached
+   later in the traversal.  The minimum certificate and the first leaf
+   reaching it are therefore unchanged.  Twin classes are themselves
+   isomorphism-invariant, so the pruned tree's leaf count (and with it
+   the budget decision) still depends on structure alone. *)
 let search view =
   let n = Array.length view.nodes in
   let initial = Array.make n H.seed in
   Array.iteri (fun i (node : Graph.node) -> initial.(i) <- H.string H.seed node.Graph.node_label) view.nodes;
+  let twin_key = lazy (twin_key view) in
+  (* Nodes individualized on the current path: only a hash collision
+     could leave one in a non-singleton cell, and then it is no twin of
+     anything there. *)
+  let fixed = Array.make n false in
   let leaves = ref 0 in
   let best = ref None in
   let rec go colours =
@@ -180,11 +245,24 @@ let search view =
         | Some (bcert, _, _) when String.compare bcert cert <= 0 -> ()
         | _ -> best := Some (cert, order, eorder))
     | Some members ->
+        let twin_key = Lazy.force twin_key in
+        let explored = Hashtbl.create 8 in
+        let branch v =
+          let colours' = Array.copy colours in
+          colours'.(v) <- H.int64 colours'.(v) indiv_mark;
+          fixed.(v) <- true;
+          go colours';
+          fixed.(v) <- false
+        in
         List.iter
           (fun v ->
-            let colours' = Array.copy colours in
-            colours'.(v) <- H.int64 colours'.(v) indiv_mark;
-            go colours')
+            if fixed.(v) then branch v
+            else
+              let k = twin_key v in
+              if not (Hashtbl.mem explored k) then begin
+                Hashtbl.add explored k ();
+                branch v
+              end)
           members
   in
   match go initial with () -> !best | exception Budget -> None
@@ -213,11 +291,18 @@ let max_cache_entries = 16_384
 let forms_computed = Atomic.make 0
 let cache_hits = Atomic.make 0
 
+(* Searches that gave up at the leaf budget: each one sends its caller
+   off the canonical fast path, so this is the visible cost of symmetry
+   beyond twins. *)
+let budget_exceeded_count = Atomic.make 0
+
 let stats () = (Atomic.get forms_computed, Atomic.get cache_hits)
+let budget_exceeded () = Atomic.get budget_exceeded_count
 
 let reset_stats () =
   Atomic.set forms_computed 0;
-  Atomic.set cache_hits 0
+  Atomic.set cache_hits 0;
+  Atomic.set budget_exceeded_count 0
 
 let cache_key g =
   let buf = Buffer.create 256 in
@@ -241,7 +326,9 @@ let clear () = with_lock (fun () -> Hashtbl.reset cache)
 let compute_form g =
   let view = view_of g in
   match search view with
-  | None -> None
+  | None ->
+      Atomic.incr budget_exceeded_count;
+      None
   | Some (cert, order, eorder) ->
       Some
         {

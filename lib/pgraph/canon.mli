@@ -41,11 +41,16 @@ val set_enabled : bool -> unit
 val is_enabled : unit -> bool
 
 (** [form g] is the canonical form of [g], or [None] when the
-    individualization–refinement search exceeds its leaf budget (very
-    symmetric graphs).  The budget decision is itself
-    isomorphism-invariant: isomorphic graphs either both canonicalize
-    or both give up, so callers can treat [None] as "fall back to the
-    solver" without risking asymmetric answers. *)
+    individualization–refinement search exceeds its leaf budget.  The
+    search never branches over structural twins (same label, same
+    labelled in- and out-neighbours), so symmetry made only of
+    interchangeable nodes — a fan of identical leaves, a set of
+    edgeless same-labelled nodes — costs no extra leaves; [None] means
+    symmetry beyond twins, such as several disjoint copies of one
+    component.  The budget decision is itself isomorphism-invariant:
+    isomorphic graphs either both canonicalize or both give up, so
+    callers can treat [None] as "fall back to the solver" without
+    risking asymmetric answers. *)
 val form : Graph.t -> form option
 
 (** [digest g] is [Option.map (fun f -> f.digest) (form g)]. *)
@@ -85,4 +90,9 @@ val clear : unit -> unit
     hot path never canonicalizes twice. *)
 val stats : unit -> int * int
 
+(** Searches that gave up at the leaf budget (each such [form] call
+    returned [None]), process-wide; cached answers do not count again. *)
+val budget_exceeded : unit -> int
+
+(** Zeroes {!stats} and {!budget_exceeded}. *)
 val reset_stats : unit -> unit

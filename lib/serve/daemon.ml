@@ -258,9 +258,15 @@ let stats_response t ~id =
       (* Canonicalizations actually run vs cache hits: [computed]
          staying at one per distinct graph is the live proof that the
          hot path (engine bypass, memo rekeying, store digests, the
-         planner's delta certificates) never canonicalizes twice. *)
+         planner's delta certificates) never canonicalizes twice.
+         [budget_exceeded] counts the searches that gave up and sent
+         their caller to the solver instead. *)
       (let computed, hits = Pgraph.Canon.stats () in
-       ("canon_forms", Json.Object [ ("computed", num computed); ("cache_hits", num hits) ]));
+       ( "canon_forms",
+         Json.Object
+           [ ("computed", num computed);
+             ("cache_hits", num hits);
+             ("budget_exceeded", num (Pgraph.Canon.budget_exceeded ())) ] ));
       ( "segment",
         Json.Object
           [ ("quotient_skips", num (seg_total (Gmatch.Engine.segment_skips ())));

@@ -23,6 +23,7 @@ module Pool = Provmark.Pool
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let with_canon enabled f =
   Canon.set_enabled enabled;
@@ -91,6 +92,195 @@ let test_witness_is_isomorphism () =
         | Error e -> Alcotest.failf "canonical witness rejected: %s" e)
     | _ -> Alcotest.fail "generator graphs must canonicalize"
   done
+
+(* ------------------------------------------------------------------ *)
+(* Structural twins                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let add_plain_node g id label = Graph.add_node g ~id ~label ~props:Props.empty
+
+let add_plain_edge g id src tgt label =
+  Graph.add_edge g ~id ~src ~tgt ~label ~props:Props.empty
+
+let edgeless n label =
+  List.fold_left (fun g i -> add_plain_node g (Printf.sprintf "a%d" i) label) Graph.empty
+    (List.init n Fun.id)
+
+(* A process with [leaves] environment-variable nodes, the shape every
+   OPUS graph carries. *)
+let opus_star ?(leaf_label = "Meta") leaves =
+  List.fold_left
+    (fun g i ->
+      let id = Printf.sprintf "m%d" i in
+      add_plain_edge (add_plain_node g id (if i = 0 then leaf_label else "Meta"))
+        (Printf.sprintf "e%d" i) "proc" id "META")
+    (add_plain_node Graph.empty "proc" "Process")
+    (List.init leaves Fun.id)
+
+let check_iso_invariant what g =
+  match Canon.digest g with
+  | None -> Alcotest.failf "%s: form gave up" what
+  | Some d ->
+      Alcotest.(check (option string)) (what ^ ": permuted ids") (Some d)
+        (Canon.digest (Helpers.permute_ids g));
+      Alcotest.(check (option string)) (what ^ ": renamed") (Some d)
+        (Canon.digest (Helpers.rename_with_prefix "z:" g));
+      Alcotest.(check (option string)) (what ^ ": reordered") (Some d)
+        (Canon.digest (rebuild_reversed g))
+
+(* The counterexample that made "digest equality is exactly VF2
+   similarity" flaky: 6! automorphisms, all of them twin swaps. *)
+let test_six_edgeless_agents () =
+  let g = edgeless 6 "agent" in
+  check_iso_invariant "six agents" g;
+  let other = add_plain_node (edgeless 5 "agent") "x" "entity" in
+  List.iter
+    (fun h ->
+      check_bool "digest equality is VF2 similarity"
+        (Gmatch.Vf2.similar g h)
+        (Canon.digest g = Canon.digest h))
+    [ Helpers.permute_ids g; other; edgeless 5 "agent" ]
+
+let test_opus_star () =
+  let g = opus_star 10 in
+  check_iso_invariant "OPUS star" g;
+  let h = Helpers.permute_ids g in
+  check_bool "iso star is VF2-similar" true (Gmatch.Vf2.similar g h);
+  check_bool "one relabelled leaf changes the digest" false
+    (Canon.digest g = Canon.digest (opus_star ~leaf_label:"Env" 10));
+  match (Canon.form g, Canon.form h) with
+  | Some f1, Some f2 ->
+      let m = Matching.of_pairs g (Canon.witness f1 f2) 0 in
+      check_bool "canonical witness verifies" true (Matching.verify ~sub:false g h m = Ok ())
+  | _ -> Alcotest.fail "OPUS star must canonicalize"
+
+(* Near-twins: a directed 4-cycle and two directed 2-cycles, each cycle
+   node feeding one of four shared sinks.  Colour refinement cannot
+   tell the sinks apart, yet {s1, s2} and {s3, s4} are different orbits
+   (their sources sit on the 4-cycle vs across the 2-cycles), so they
+   share a label and (empty) out-edges but are no twins.  Collapsing
+   them would make the digest depend on which sink sorts first. *)
+let test_near_twins_stay_apart () =
+  let g =
+    List.fold_left (fun g id -> add_plain_node g id "x") Graph.empty
+      [ "a0"; "a1"; "a2"; "a3"; "b0"; "b1"; "c0"; "c1"; "s1"; "s2"; "s3"; "s4" ]
+  in
+  let g =
+    List.fold_left
+      (fun g (s, t) -> add_plain_edge g ("n" ^ s) s t "next")
+      g
+      [ ("a0", "a1"); ("a1", "a2"); ("a2", "a3"); ("a3", "a0"); ("b0", "b1"); ("b1", "b0");
+        ("c0", "c1"); ("c1", "c0") ]
+  in
+  let g =
+    List.fold_left
+      (fun g (s, t) -> add_plain_edge g ("f" ^ s) s t "sink")
+      g
+      [ ("a0", "s1"); ("a2", "s1"); ("a1", "s2"); ("a3", "s2"); ("b0", "s3"); ("c0", "s3");
+        ("b1", "s4"); ("c1", "s4") ]
+  in
+  check_iso_invariant "near-twins" g;
+  let swap = function "s1" -> "s3" | "s3" -> "s1" | "s2" -> "s4" | "s4" -> "s2" | id -> id in
+  Alcotest.(check (option string)) "sink orbits swapped by name" (Canon.digest g)
+    (Canon.digest (Graph.map_ids swap g))
+
+(* Six disjoint copies of one labelled edge: every source points at a
+   different target, so nothing is a twin and the search needs 6! = 720
+   leaves — beyond the budget. *)
+let test_budget_counter () =
+  let g =
+    List.fold_left
+      (fun g i ->
+        let s = Printf.sprintf "s%d" i and t = Printf.sprintf "t%d" i in
+        add_plain_edge (add_plain_node (add_plain_node g s "activity") t "entity")
+          (Printf.sprintf "e%d" i) s t "used")
+      Graph.empty (List.init 6 Fun.id)
+  in
+  Canon.clear ();
+  let before = Canon.budget_exceeded () in
+  check_bool "form gives up" true (Canon.form g = None);
+  check_int "one search gave up" (before + 1) (Canon.budget_exceeded ());
+  ignore (Canon.form g);
+  check_int "a cached answer is no new search" (before + 1) (Canon.budget_exceeded ());
+  Canon.reset_stats ();
+  check_int "reset_stats zeroes it" 0 (Canon.budget_exceeded ())
+
+(* A random graph plus k in [2, 8] interchangeable leaves on one random
+   node: same label, same edge label, same direction. *)
+let random_twin_graph st =
+  let g = Helpers.random_graph st in
+  let anchor = Helpers.pick (Array.of_list (Graph.node_ids g)) st in
+  let label = Helpers.pick Helpers.node_labels st in
+  let elabel = Helpers.pick Helpers.edge_labels st in
+  let inward = Random.State.bool st in
+  let k = 2 + Random.State.int st 7 in
+  List.fold_left
+    (fun g i ->
+      let id = Printf.sprintf "t%d" i in
+      let g = Graph.add_node g ~id ~label ~props:(Helpers.random_props st) in
+      let src, tgt = if inward then (id, anchor) else (anchor, id) in
+      add_plain_edge g (Printf.sprintf "te%d" i) src tgt elabel)
+    g (List.init k Fun.id)
+
+(* Relabel the edge of twin [t0], so it stops being a twin of the rest. *)
+let break_twin g =
+  match Graph.find_edge g "te0" with
+  | None -> g
+  | Some e ->
+      let other = if e.Graph.edge_label = "used" then "wasInformedBy" else "used" in
+      add_plain_edge (Graph.remove_edge g "te0") "te0" e.Graph.edge_src e.Graph.edge_tgt other
+
+let print_graph g = Format.asprintf "%a" Graph.pp g
+
+let twin_graph_arbitrary = QCheck.make ~print:print_graph random_twin_graph
+
+(* Pairs that are isomorphic, independent, or one broken twin apart. *)
+let twin_pair_arbitrary =
+  QCheck.make
+    ~print:(fun (g, h) -> print_graph g ^ "\n---\n" ^ print_graph h)
+    (fun st ->
+      let g = random_twin_graph st in
+      let h =
+        match Random.State.int st 3 with
+        | 0 -> Helpers.permute_ids g
+        | 1 -> random_twin_graph st
+        | _ -> Helpers.permute_ids (break_twin g)
+      in
+      (g, h))
+
+let prop_twin_invariant =
+  Helpers.qcheck "twin-heavy graphs canonicalize, invariantly" twin_graph_arbitrary (fun g ->
+      let d = Canon.digest g in
+      Option.is_some d
+      && d = Canon.digest (Helpers.permute_ids g)
+      && d = Canon.digest (Helpers.rename_with_prefix "z:" g)
+      && d = Canon.digest (rebuild_reversed g))
+
+let prop_twin_decides_similarity =
+  Helpers.qcheck "twin-heavy digest equality is exactly VF2 similarity" twin_pair_arbitrary
+    (fun (g, h) ->
+      match (Canon.digest g, Canon.digest h) with
+      | Some dg, Some dh -> String.equal dg dh = Gmatch.Vf2.similar g h
+      | _ -> false)
+
+(* Digest and node/edge orders of 500 seeded generator graphs, pinned by
+   an MD5 taken before the search learned to skip twins: every form
+   that already existed must stay byte-identical. *)
+let test_golden_forms () =
+  let st = Random.State.make [| 2024 |] in
+  let buf = Buffer.create 65536 in
+  for _ = 1 to 500 do
+    match Canon.form (Helpers.random_graph st) with
+    | None -> Alcotest.fail "generator graphs must canonicalize"
+    | Some f ->
+        Buffer.add_string buf f.Canon.digest;
+        Array.iter (fun id -> Buffer.add_string buf (" " ^ id)) f.Canon.node_order;
+        Buffer.add_string buf " |";
+        Array.iter (fun id -> Buffer.add_string buf (" " ^ id)) f.Canon.edge_order;
+        Buffer.add_char buf '\n'
+  done;
+  check_string "forms of 500 seeded graphs" "e5afafc2c4837c39b52cac95eac0f926"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* ------------------------------------------------------------------ *)
 (* Engine bypass: canon-on equals canon-off                            *)
@@ -277,6 +467,16 @@ let () =
           prop_digest_decides_similarity;
           Alcotest.test_case "canonical witness is an isomorphism" `Quick
             test_witness_is_isomorphism;
+        ] );
+      ( "twins",
+        [
+          Alcotest.test_case "six edgeless agents" `Quick test_six_edgeless_agents;
+          Alcotest.test_case "OPUS star" `Quick test_opus_star;
+          Alcotest.test_case "near-twins stay apart" `Quick test_near_twins_stay_apart;
+          Alcotest.test_case "budget counter" `Quick test_budget_counter;
+          Alcotest.test_case "golden forms" `Quick test_golden_forms;
+          prop_twin_invariant;
+          prop_twin_decides_similarity;
         ] );
       ( "bypass",
         [

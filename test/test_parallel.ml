@@ -192,6 +192,24 @@ let test_cache_disabled_counts_nothing () =
       ignore (Gmatch.Asp_backend.similar g g);
       check_int "no counters when disabled" 0 (List.length (Asp.Memo.stats ())))
 
+(* The stats block printed after an ASP suite must not depend on which
+   domain reached a shared solve first: two identical -j4 runs print
+   the same epilogue.  CamFlow's suite has concurrent identical solves
+   that coalesce onto an in-flight leader a varying number of times. *)
+let test_asp_epilogue_deterministic () =
+  let config = { (Config.default Recorder.Camflow) with Config.backend = Gmatch.Engine.Asp } in
+  let epilogue () =
+    with_cache true (fun () ->
+        Gmatch.Engine.reset_canon_skips ();
+        Gmatch.Engine.reset_segment_stats ();
+        Gmatch.Incremental.reset_stats ();
+        let results = Parallel_runner.run_all ~jobs:4 config Provmark.Bench_registry.all in
+        Provmark.Report.suite_epilogue results ^ Provmark.Report.stats_lines ())
+  in
+  let first = epilogue () in
+  check_bool "solve cache consulted" true (Helpers.contains_substring first "ASP solve cache");
+  Alcotest.(check string) "second -j4 run prints the same epilogue" first (epilogue ())
+
 let () =
   Alcotest.run "parallel"
     [
@@ -219,5 +237,7 @@ let () =
             test_cache_key_ignores_irrelevant_facts;
           Alcotest.test_case "disabled cache counts nothing" `Quick
             test_cache_disabled_counts_nothing;
+          Alcotest.test_case "asp epilogue identical across -j4 runs" `Slow
+            test_asp_epilogue_deterministic;
         ] );
     ]

@@ -225,7 +225,10 @@ let test_warm_renamed_match_no_resolve () =
         responses;
       let final = stats () in
       check_int "concurrent renamed requests never re-solve" cold_misses
-        (int_member [ "memo"; "misses" ] final))
+        (int_member [ "memo"; "misses" ] final);
+      check_int "every renamed pair canonicalized"
+        (int_member [ "canon_forms"; "budget_exceeded" ] cold)
+        (int_member [ "canon_forms"; "budget_exceeded" ] final))
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
