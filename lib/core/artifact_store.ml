@@ -1,6 +1,6 @@
 (* Bump when the artifact encoding or key construction changes shape:
    stale entries then miss instead of decoding garbage. *)
-let format_version = "3"
+let format_version = "4"
 
 type stats = { hits : int; misses : int; stored : int; errors : int }
 
@@ -147,6 +147,8 @@ let unseal contents =
     let payload = String.sub contents 33 (n - 33) in
     if String.equal (String.sub contents 0 32) (digest payload) then Some payload else None
 
+let mem t ~stage ~key = Sys.file_exists (path_of t ~stage ~key)
+
 let read t ~stage ~key =
   match Faults.Injector.store_fault ~site:(Printf.sprintf "store:read:%s:%s" stage key) with
   | Some Faults.Plan.Eio ->
@@ -217,6 +219,13 @@ let record t ~stage ~key ~hit =
   with_shard_lock shard (fun () ->
       let hits, misses, _, _ = counter_of shard stage in
       incr (if hit then hits else misses))
+
+let demote t ~stage ~key =
+  let shard = shard_for t key in
+  with_shard_lock shard (fun () ->
+      let hits, misses, _, _ = counter_of shard stage in
+      decr hits;
+      incr misses)
 
 (* Counters merge across shards at read time: per-stage totals are what
    reports want, the sharding is purely a contention measure. *)

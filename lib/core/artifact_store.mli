@@ -2,8 +2,9 @@
 
     Every stage execution is addressed by a key derived from the stage
     name, a fingerprint of the configuration fields that stage reads,
-    and digests of its inputs (chained: a stage's input digest is
-    computed from the upstream stage's typed output).  Because the
+    and digests of its inputs (chained: each artifact carries the
+    digests its consumers key on, computed once from its typed value
+    when it is written — see {!Stage.t}'s [carry]).  Because the
     whole pipeline is a pure function of [(config, program)], replaying
     a stored artifact is indistinguishable from recomputing it — a warm
     suite re-run is byte-identical to the cold run and an edited
@@ -93,11 +94,21 @@ val canonical_graph_digest : Pgraph.Graph.t -> string
 val read : t -> stage:string -> key:string -> string option
 val write : t -> stage:string -> key:string -> string -> unit
 
+(** [mem t ~stage ~key] is whether an entry exists under [key].  No
+    checksum is verified and no counter moves: an entry found here may
+    still read back as a miss. *)
+val mem : t -> stage:string -> key:string -> bool
+
 (** [record t ~stage ~key ~hit] counts one stage execution as replayed
     ([hit:true]) or computed ([hit:false]).  [key] selects the counter
     shard, so recording contends only with other executions in the
     same key range. *)
 val record : t -> stage:string -> key:string -> hit:bool -> unit
+
+(** [demote t ~stage ~key] turns one recorded hit into a miss: the
+    artifact read back sealed, but its payload failed to decode when it
+    was finally needed, so the stage recomputed after all. *)
+val demote : t -> stage:string -> key:string -> unit
 
 (** {2 Statistics} *)
 

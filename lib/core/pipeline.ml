@@ -226,6 +226,57 @@ let compared_of_json j =
       }
 
 (* ------------------------------------------------------------------ *)
+(* Pair-parallelism                                                    *)
+
+(* The suite runner installs its worker pool here; the two
+   generalization variants (and the canonical-digest work ahead of
+   them and of the comparison stage) then run as help-queue pairs on
+   it.  Results come back in fixed (a, b) order and the branch spans
+   are grafted a-then-b, so the output is byte-identical to a
+   sequential run at any job count.  Degradation notes stay correct
+   too: each side's [with_notes] drains wholly within its own job on
+   one domain. *)
+let pair_pool : Pool.t option Atomic.t = Atomic.make None
+let set_pair_pool p = Atomic.set pair_pool p
+
+let pair fa fb =
+  match Atomic.get pair_pool with
+  | None ->
+      let a = fa () in
+      let b = fb () in
+      (a, b)
+  | Some pool -> Pool.run_pair pool fa fb
+
+let both ~ctx fa fb =
+  match Atomic.get pair_pool with
+  | None -> pair (fun () -> fa ctx) (fun () -> fb ctx)
+  | Some _ ->
+      let ca = Trace_span.branch () and cb = Trace_span.branch () in
+      let r = pair (fun () -> fa ca) (fun () -> fb cb) in
+      Trace_span.graft ca ~into:ctx;
+      Trace_span.graft cb ~into:ctx;
+      r
+
+(* ------------------------------------------------------------------ *)
+(* Carried digests                                                     *)
+
+let graphs_digest graphs =
+  Artifact_store.digest
+    (String.concat "\x00" (List.map Artifact_store.canonical_graph_digest graphs))
+
+(* [canonical_graph_digest] depends on the Canon toggle, which the
+   transformation key does not cover (its fingerprint is empty), so the
+   transformation artifact records which setting its trial-graph
+   digests were taken under; under the other setting they are
+   recomputed from the decoded graphs. *)
+let canon_tag () = if Pgraph.Canon.is_enabled () then "canon" else "plain"
+
+(* Canonicalizing the trial graphs is the expensive part of the
+   generalization keys (and primes the form cache for generalization
+   itself), so the two variants pair. *)
+let trial_digests (bg, fg) = pair (fun () -> graphs_digest bg) (fun () -> graphs_digest fg)
+
+(* ------------------------------------------------------------------ *)
 (* The four stages                                                     *)
 
 let recording_stage (record : recorder) : (Config.t * Program.t, _) Stage.t =
@@ -234,6 +285,7 @@ let recording_stage (record : recorder) : (Config.t * Program.t, _) Stage.t =
     run = (fun _ctx (config, prog) -> Ok (record config prog));
     encode = wrap recordings_to_json;
     decode = unwrap recordings_of_json;
+    carry = (fun _ ~body -> [ Artifact_store.digest (body ()) ]);
   }
 
 let transformation_stage : (Recording.recorded list * Recording.recorded list, _) Stage.t =
@@ -248,6 +300,10 @@ let transformation_stage : (Recording.recorded list * Recording.recorded list, _
               { Result.stage = "transformation"; variant = None; reason = Result.Malformed_output m });
     encode = wrap graphs_to_json;
     decode = unwrap graphs_of_json;
+    carry =
+      (fun graphs ~body:_ ->
+        let d_bg, d_fg = trial_digests graphs in
+        [ canon_tag (); d_bg; d_fg ]);
   }
 
 let generalization_failure variant f =
@@ -274,6 +330,8 @@ let generalization_stage config ~variant :
             | Error f -> Error (generalization_failure variant f)));
     encode = wrap (noted_to_json gen_outcome_to_json);
     decode = unwrap (noted_of_json gen_outcome_of_json);
+    carry =
+      (fun (o, _) ~body:_ -> [ Artifact_store.canonical_graph_digest o.Generalize.general ]);
   }
 
 let comparison_stage config : (Pgraph.Graph.t * Pgraph.Graph.t, compared * string list) Stage.t =
@@ -295,42 +353,11 @@ let comparison_stage config : (Pgraph.Graph.t * Pgraph.Graph.t, compared * strin
                     }));
     encode = wrap (noted_to_json compared_to_json);
     decode = unwrap (noted_of_json compared_of_json);
+    carry = (fun _ ~body:_ -> []);
   }
 
 (* ------------------------------------------------------------------ *)
 (* Composition                                                         *)
-
-let json_digest to_json v = Artifact_store.digest (J.to_string (to_json v))
-
-let graphs_digest graphs =
-  Artifact_store.digest
-    (String.concat "\x00" (List.map Artifact_store.canonical_graph_digest graphs))
-
-(* ------------------------------------------------------------------ *)
-(* Pair-parallelism                                                    *)
-
-(* The suite runner installs its worker pool here; the two
-   generalization variants (and the canonical-digest prework of the
-   comparison stage) then run as a help-queue pair on it.  Results
-   come back in fixed (a, b) order and the branch spans are grafted
-   a-then-b, so the output is byte-identical to a sequential run at
-   any job count.  Degradation notes stay correct too: each side's
-   [with_notes] drains wholly within its own job on one domain. *)
-let pair_pool : Pool.t option Atomic.t = Atomic.make None
-let set_pair_pool p = Atomic.set pair_pool p
-
-let both ~ctx fa fb =
-  match Atomic.get pair_pool with
-  | None ->
-      let a = fa ctx in
-      let b = fb ctx in
-      (a, b)
-  | Some pool ->
-      let ca = Trace_span.branch () and cb = Trace_span.branch () in
-      let r = Pool.run_pair pool (fun () -> fa ca) (fun () -> fb cb) in
-      Trace_span.graft ca ~into:ctx;
-      Trace_span.graft cb ~into:ctx;
-      r
 
 (* Degradation notes accumulate in stage order, each prefixed with
    where it happened; duplicates (e.g. the same fallback in both
@@ -345,6 +372,14 @@ let merge_notes chunks =
         acc notes)
     [] chunks
 
+(* Recording and transformation replay deferred: a warm run keys the
+   next stage on the digests their artifacts carry and never decodes
+   them.  When a downstream execution has no stored artifact it will
+   consume [up]'s value, so [prefetch] decodes it up front, in the
+   attempt's span — not inside the downstream stage's span, and never
+   from the two pair jobs at once. *)
+let prefetch ~ctx up ~needed = if Stage.pending up && needed () then ignore (Stage.value ctx up)
+
 let run_once ~record ~ctx session prog =
   let config = Session.config session in
   let store = config.Config.store in
@@ -352,82 +387,114 @@ let run_once ~record ~ctx session prog =
   (* Recordings from an injected recorder must not poison the shared
      cache (nor be served from it): only the real recorder is keyed. *)
   let rec_store = if record == Recording.record_all then store else None in
-  let d_prog = program_digest prog in
+  (* Keys only address the store: without one, the digests that exist
+     just to build them are never computed. *)
+  let keyed store inputs = match store with None -> [] | Some _ -> inputs () in
   let fail ?(bg = None) ?(fg = None) ?(degraded = []) e =
     { status = Result.Failed e; bg_general = bg; fg_general = fg; degraded }
   in
   match
-    Stage.execute ?store:rec_store ?deadline_s ~ctx
-      ~fingerprint:(Config.recording_fingerprint config) ~inputs:[ d_prog ]
-      (recording_stage record) (config, prog)
+    Stage.execute ?store:rec_store ?deadline_s ~defer:true ~ctx
+      ~fingerprint:(Config.recording_fingerprint config)
+      ~inputs:(keyed rec_store (fun () -> [ program_digest prog ]))
+      (recording_stage record)
+      (fun _ -> Ok (config, prog))
   with
   | Error e -> fail e
   | Ok recs -> (
-      let d_recs = json_digest recordings_to_json recs in
+      let tr_inputs = keyed store (fun () -> Stage.carried recs) in
+      prefetch ~ctx recs ~needed:(fun () ->
+          not (Stage.stored ?store transformation_stage ~fingerprint:"" ~inputs:tr_inputs));
       match
-        Stage.execute ?store ?deadline_s ~ctx ~fingerprint:"" ~inputs:[ d_recs ]
-          transformation_stage recs
+        Stage.execute ?store ?deadline_s ~defer:true ~ctx ~fingerprint:"" ~inputs:tr_inputs
+          transformation_stage
+          (fun ctx -> Stage.value ctx recs)
       with
       | Error e -> fail e
-      | Ok (bg_graphs, fg_graphs) -> (
-          let gen_fp = Config.generalization_fingerprint config in
-          let generalize variant graphs gctx =
-            Stage.execute ?store ?deadline_s ~ctx:gctx ~fingerprint:gen_fp
-              ~inputs:[ variant; graphs_digest graphs ]
-              (generalization_stage config ~variant)
-              graphs
+      | Ok trials -> (
+          let digests =
+            match Stage.carried trials with
+            | [ tag; d_bg; d_fg ] when String.equal tag (canon_tag ()) -> Ok (d_bg, d_fg)
+            | _ -> Stdlib.Result.map trial_digests (Stage.value ctx trials)
           in
-          (* Both variants always run (matching the pre-staged pipeline,
-             and keeping the foreground artifact warm even when the
-             background fails first) — in parallel when a pair pool is
-             installed. *)
-          let bg_out, fg_out =
-            both ~ctx (generalize "background" bg_graphs) (generalize "foreground" fg_graphs)
-          in
-          let gen_notes out_opt variant =
-            match out_opt with Ok (_, notes) -> [ (variant, notes) ] | Error _ -> []
-          in
-          let notes_so_far =
-            merge_notes (gen_notes bg_out "background" @ gen_notes fg_out "foreground")
-          in
-          match (bg_out, fg_out) with
-          | Error e, _ | _, Error e -> fail ~degraded:notes_so_far e
-          | Ok (bg, bg_notes), Ok (fg, fg_notes) -> (
-              let bg_g = bg.Generalize.general and fg_g = fg.Generalize.general in
-              let bg_general = Some bg_g and fg_general = Some fg_g in
-              let degraded_with cmp_notes =
-                merge_notes
-                  [
-                    ("background", bg_notes);
-                    ("foreground", fg_notes);
-                    ("comparison", cmp_notes);
-                  ]
+          match digests with
+          | Error e -> fail e
+          | Ok (d_bg, d_fg) -> (
+              let gen_fp = Config.generalization_fingerprint config in
+              let bg_variant = ("background", d_bg, fst)
+              and fg_variant = ("foreground", d_fg, snd) in
+              prefetch ~ctx trials ~needed:(fun () ->
+                  List.exists
+                    (fun (variant, d, _) ->
+                      not
+                        (Stage.stored ?store
+                           (generalization_stage config ~variant)
+                           ~fingerprint:gen_fp ~inputs:[ variant; d ]))
+                    [ bg_variant; fg_variant ]);
+              let generalize (variant, d, pick) gctx =
+                Stdlib.Result.bind
+                  (Stage.execute ?store ?deadline_s ~ctx:gctx ~fingerprint:gen_fp
+                     ~inputs:[ variant; d ]
+                     (generalization_stage config ~variant)
+                     (fun ctx -> Stdlib.Result.map pick (Stage.value ctx trials)))
+                  (fun out -> Stdlib.Result.map (fun v -> (out, v)) (Stage.value gctx out))
               in
-              (* Canonicalizing the two generalized graphs is the
-                 expensive prefix of the comparison key (and primes the
-                 form cache for the stage itself), so it pairs too. *)
-              let d_bg, d_fg =
-                both ~ctx
-                  (fun _ -> Artifact_store.canonical_graph_digest bg_g)
-                  (fun _ -> Artifact_store.canonical_graph_digest fg_g)
+              (* Both variants always run (matching the pre-staged pipeline,
+                 and keeping the foreground artifact warm even when the
+                 background fails first) — in parallel when a pair pool is
+                 installed. *)
+              let bg_out, fg_out = both ~ctx (generalize bg_variant) (generalize fg_variant) in
+              let gen_notes out_opt variant =
+                match out_opt with Ok (_, (_, notes)) -> [ (variant, notes) ] | Error _ -> []
               in
-              match
-                Stage.execute ?store ?deadline_s ~ctx
-                  ~fingerprint:(Config.comparison_fingerprint config)
-                  ~inputs:[ d_bg; d_fg ] (comparison_stage config) (bg_g, fg_g)
-              with
-              | Error e -> fail ~bg:bg_general ~fg:fg_general ~degraded:(degraded_with []) e
-              | Ok (Similar, cmp_notes) ->
-                  {
-                    status = Result.Empty;
-                    bg_general;
-                    fg_general;
-                    degraded = degraded_with cmp_notes;
-                  }
-              | Ok (Target o, cmp_notes) ->
-                  let target = o.Compare.target in
-                  let status =
-                    if Pgraph.Graph.size target = 0 then Result.Empty
-                    else Result.Target target
+              let notes_so_far =
+                merge_notes (gen_notes bg_out "background" @ gen_notes fg_out "foreground")
+              in
+              match (bg_out, fg_out) with
+              | Error e, _ | _, Error e -> fail ~degraded:notes_so_far e
+              | Ok (bg_art, (bg, bg_notes)), Ok (fg_art, (fg, fg_notes)) -> (
+                  let bg_g = bg.Generalize.general and fg_g = fg.Generalize.general in
+                  let bg_general = Some bg_g and fg_general = Some fg_g in
+                  let degraded_with cmp_notes =
+                    merge_notes
+                      [
+                        ("background", bg_notes);
+                        ("foreground", fg_notes);
+                        ("comparison", cmp_notes);
+                      ]
                   in
-                  { status; bg_general; fg_general; degraded = degraded_with cmp_notes })))
+                  (* Stored generalizations carry the canonical digests of
+                     their graphs.  Without a store they are computed
+                     anyway, paired: canonicalizing the generalized graphs
+                     primes the form cache the comparison stage reads. *)
+                  let d_bg, d_fg =
+                    match store with
+                    | Some _ -> (Stage.carried bg_art, Stage.carried fg_art)
+                    | None ->
+                        both ~ctx
+                          (fun _ -> Stage.carried bg_art)
+                          (fun _ -> Stage.carried fg_art)
+                  in
+                  match
+                    Stdlib.Result.bind
+                      (Stage.execute ?store ?deadline_s ~ctx
+                         ~fingerprint:(Config.comparison_fingerprint config)
+                         ~inputs:(d_bg @ d_fg) (comparison_stage config)
+                         (fun _ -> Ok (bg_g, fg_g)))
+                      (Stage.value ctx)
+                  with
+                  | Error e -> fail ~bg:bg_general ~fg:fg_general ~degraded:(degraded_with []) e
+                  | Ok (Similar, cmp_notes) ->
+                      {
+                        status = Result.Empty;
+                        bg_general;
+                        fg_general;
+                        degraded = degraded_with cmp_notes;
+                      }
+                  | Ok (Target o, cmp_notes) ->
+                      let target = o.Compare.target in
+                      let status =
+                        if Pgraph.Graph.size target = 0 then Result.Empty
+                        else Result.Target target
+                      in
+                      { status; bg_general; fg_general; degraded = degraded_with cmp_notes }))))

@@ -4,17 +4,32 @@
 
     Each stage is a {!Stage.t} value, so one attempt of the pipeline is
     a chain of {!Stage.execute} calls threading a trace context and an
-    optional {!Artifact_store.t}.  Cache keys chain digests:
+    optional {!Artifact_store.t}.  Cache keys chain the digests each
+    artifact carries in its header, computed once when it is written:
 
     {v
     program text ─d_prog─▶ recording ─d_recs─▶ transformation
-      ─d_graphs(variant)─▶ generalization ─graph digest─▶ comparison
+      ─d_trials(variant)─▶ generalization ─d_general─▶ comparison
     v}
 
-    together with the per-stage configuration fingerprints from
-    {!Config}.  Editing a benchmark therefore invalidates exactly its
-    own chain; flipping a knob (say [backend]) re-keys only the stages
-    that read it and everything downstream. *)
+    [d_recs] digests the recording artifact's encoding; [d_trials] is
+    the canonical digest of one variant's trial graphs (stored with the
+    Canon setting it was taken under, since the transformation key does
+    not cover it); [d_general] is the canonical digest of a generalized
+    graph.  Together with the per-stage configuration fingerprints
+    from {!Config}, editing a benchmark therefore invalidates exactly
+    its own chain; flipping a knob (say [backend]) re-keys only the
+    stages that read it and everything downstream.
+
+    A warm replay reads the recording and transformation artifacts for
+    their digests only.  Their bodies are decoded when a downstream
+    stage has no stored artifact and needs them as input, and then
+    ahead of that stage (for generalization: before its pair forks), so
+    the pair jobs do not decode a shared value.  Only a generalization
+    artifact that exists but fails to read back makes its pair job
+    decode the transformation itself; {!Stage.value} tolerates two such
+    callers.  The generalization and comparison artifacts are decoded
+    on every replay: their values are the result. *)
 
 (** The recording stage as a function, so tests can swap
     {!Recording.record_all} for an instrumented or deliberately flaky
@@ -45,8 +60,9 @@ type outcome = {
 val program_digest : Oskernel.Program.t -> string
 
 (** [set_pair_pool (Some pool)] makes every subsequent {!run_once} run
-    its background/foreground generalization pair (and the comparison
-    stage's canonical-digest prework) as a help-queue pair on [pool]
+    its background/foreground generalization pair (and the canonical
+    digests of both variants' trial and generalized graphs, when they
+    are computed rather than replayed) as help-queue pairs on [pool]
     (see {!Pool.run_pair}); [None] (the default) runs them
     sequentially.  Either way, results are consumed in the fixed
     bg-then-fg order and the two branches' spans are grafted back in

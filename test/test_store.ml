@@ -161,12 +161,16 @@ let toy_stage : (int, int) Stage.t =
         match int_of_string_opt s with
         | Some v -> Ok v
         | None -> failwith "corrupt toy artifact");
+    carry = (fun _ ~body:_ -> []);
   }
 
 let execute_toy ?store n =
   let r, _span =
     Span.collect "test" (fun ctx ->
-        Stage.execute ?store ~ctx ~fingerprint:"toyfp" ~inputs:[ string_of_int n ] toy_stage n)
+        Result.bind
+          (Stage.execute ?store ~ctx ~fingerprint:"toyfp" ~inputs:[ string_of_int n ] toy_stage
+             (fun _ -> Ok n))
+          (Stage.value ctx))
   in
   match r with Ok v -> v | Error _ -> Alcotest.fail "toy stage failed"
 
@@ -337,6 +341,123 @@ let test_knob_flip_invalidates_only_readers () =
       check_int "comparison recomputed" 1 (stat "comparison").Store.misses)
 
 (* ------------------------------------------------------------------ *)
+(* Deferred replays                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every entry of [stage] as (key, path). *)
+let entries store stage =
+  let root = Filename.concat (Store.dir store) stage in
+  List.concat_map
+    (fun prefix ->
+      let dir = Filename.concat root prefix in
+      List.filter_map
+        (fun file ->
+          if Filename.check_suffix file ".art" then
+            Some (Filename.chop_suffix file ".art", Filename.concat dir file)
+          else None)
+        (Array.to_list (Sys.readdir dir)))
+    (Array.to_list (Sys.readdir root))
+
+(* Rewrites every entry of [stage] through [Store.write], keeping its
+   header line (the digests it carries) and replacing its body with
+   bytes no decoder accepts.  The entries stay correctly sealed, so
+   only decoding a body can notice. *)
+let junk_bodies store stage =
+  let keys = List.map fst (entries store stage) in
+  List.iter
+    (fun key ->
+      match Store.read store ~stage ~key with
+      | None -> Alcotest.failf "unreadable %s entry %s" stage key
+      | Some payload ->
+          let header = List.hd (String.split_on_char '\n' payload) in
+          Store.write store ~stage ~key (header ^ "\n<not an encoding>"))
+    keys;
+  List.length keys
+
+let stage_stat store stage =
+  match List.assoc_opt stage (Store.stats store) with
+  | Some s -> s
+  | None -> Alcotest.failf "no executions recorded for %s" stage
+
+let test_warm_replay_decodes_only_answers () =
+  with_store (fun store ->
+      let config = config_with store Recorder.Camflow in
+      let progs = [ open_bench; dup_bench ] in
+      let run config = List.map (Runner.run config) progs in
+      let reference = run { config with Config.store = None } in
+      let cold = run config in
+      List.iter2 (fun r c -> check_string "cold equals no store" (view r) (view c)) reference cold;
+      check_int "recordings junked" 2 (junk_bodies store "recording");
+      check_int "transformations junked" 2 (junk_bodies store "transformation");
+      Store.reset_stats store;
+      Pgraph.Canon.clear ();
+      Pgraph.Canon.reset_stats ();
+      let warm = run config in
+      List.iter2 (fun c w -> check_string "warm equals cold" (view c) (view w)) cold warm;
+      check_int "warm replay misses nothing" 0 (Store.totals store).Store.misses;
+      List.iter
+        (fun stage -> check_int (stage ^ " replayed") 2 (stage_stat store stage).Store.hits)
+        [ "recording"; "transformation"; "comparison" ];
+      check_bool "no canonical form computed or looked up" true (Pgraph.Canon.stats () = (0, 0));
+      (* Without their generalizations the runs need the trial graphs:
+         the junk bodies are forced, fail to decode, and count as
+         misses, so recording and transformation recompute. *)
+      List.iter (fun (_, path) -> Sys.remove path) (entries store "generalization");
+      Store.reset_stats store;
+      let recomputed = run config in
+      List.iter2
+        (fun r c -> check_string "recomputed equals no store" (view r) (view c))
+        reference recomputed;
+      List.iter
+        (fun stage ->
+          let s = stage_stat store stage in
+          check_int (stage ^ " recomputed") 2 s.Store.misses;
+          check_int (stage ^ " hit nothing") 0 s.Store.hits)
+        [ "recording"; "transformation" ];
+      check_int "generalizations recomputed" 4 (stage_stat store "generalization").Store.misses;
+      check_int "comparisons still replay" 2 (stage_stat store "comparison").Store.hits;
+      (* The recomputes rewrote the junk: forcing now decodes. *)
+      List.iter (fun (_, path) -> Sys.remove path) (entries store "generalization");
+      Store.reset_stats store;
+      List.iter2 (fun r c -> check_string "healed equals no store" (view r) (view c)) reference
+        (run config);
+      List.iter
+        (fun stage -> check_int (stage ^ " healed") 0 (stage_stat store stage).Store.misses)
+        [ "recording"; "transformation" ])
+
+(* A knob that only generalization and comparison read (the backend)
+   leaves recording and transformation hitting while both
+   generalizations miss, so each pair of generalization jobs needs the
+   one replayed transformation value.  Run through the parallel runner,
+   whose pool is also the pair pool, the answers must equal a run
+   without a store. *)
+let test_knob_flip_under_pair_pool () =
+  let progs = suite_progs in
+  let flipped store =
+    { (Config.default Recorder.Camflow) with Config.store; backend = Gmatch.Engine.Incremental }
+  in
+  let reference = Provmark.Parallel_runner.run_all ~jobs:1 (flipped None) progs in
+  List.iter
+    (fun jobs ->
+      with_store (fun store ->
+          ignore
+            (Provmark.Parallel_runner.run_all ~jobs:1
+               { (flipped (Some store)) with Config.backend = Gmatch.Engine.Direct }
+               progs);
+          Store.reset_stats store;
+          let warm = Provmark.Parallel_runner.run_all ~jobs (flipped (Some store)) progs in
+          List.iter2
+            (fun r w ->
+              check_string (Printf.sprintf "flipped j=%d equals no store" jobs) (view r) (view w))
+            reference warm;
+          let n = List.length progs in
+          check_int "recordings replayed" n (stage_stat store "recording").Store.hits;
+          check_int "transformations replayed" n (stage_stat store "transformation").Store.hits;
+          check_int "generalizations recomputed" (2 * n)
+            (stage_stat store "generalization").Store.misses))
+    [ 2; 4 ]
+
+(* ------------------------------------------------------------------ *)
 (* Span trees                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -418,6 +539,12 @@ let () =
             test_edit_invalidates_only_downstream;
           Alcotest.test_case "knob flip hits only readers" `Quick
             test_knob_flip_invalidates_only_readers;
+        ] );
+      ( "deferred",
+        [
+          Alcotest.test_case "warm replay decodes only the answers" `Quick
+            test_warm_replay_decodes_only_answers;
+          Alcotest.test_case "knob flip under the pair pool" `Quick test_knob_flip_under_pair_pool;
         ] );
       ( "spans",
         [
